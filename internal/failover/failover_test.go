@@ -2,6 +2,7 @@ package failover
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -479,6 +480,29 @@ func TestPlaneWithServiceInstaller(t *testing.T) {
 	}
 	if plane.Recomputes() != 1 {
 		t.Fatalf("recomputes = %d", plane.Recomputes())
+	}
+}
+
+// A flip or recompute slower than the top histogram bin must leave the
+// plane's metrics encodable: overflow percentiles report the observed
+// maximum, never +Inf.
+func TestPlaneMetricsJSONWithOverflowSample(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	_, b := buildNAFTABundle(t, m, []string{KindNode})
+	plane, err := NewPlane(b, m, PlaneOptions{Filter: func(c Class) bool { return false }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane.histMu.Lock()
+	plane.flipHist.Add(5e6)   // 5 s flip, past the 1 ms top bin
+	plane.recompHist.Add(5e7) // 50 s recompute, past the 10 ms top bin
+	plane.histMu.Unlock()
+	pm := plane.Metrics()
+	if _, err := json.Marshal(pm); err != nil {
+		t.Fatalf("plane metrics with overflow samples do not encode: %v", err)
+	}
+	if pm.FlipP999 != 5e6 || pm.RecomputeP999 != 5e7 {
+		t.Fatalf("overflow p999 = %v / %v, want the observed maxima", pm.FlipP999, pm.RecomputeP999)
 	}
 }
 

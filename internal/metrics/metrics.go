@@ -61,12 +61,15 @@ func (a *Accumulator) StdDev() float64 {
 	return math.Sqrt(v)
 }
 
-// Histogram is a fixed-width-bin histogram with overflow bin.
+// Histogram is a fixed-width-bin histogram with overflow bin. It also
+// tracks the largest observation, which is what a percentile falling
+// in the overflow bin reports.
 type Histogram struct {
 	binWidth float64
 	bins     []int64
 	overflow int64
 	total    int64
+	max      float64
 }
 
 // NewHistogram builds a histogram of `bins` bins of the given width
@@ -83,6 +86,9 @@ func (h *Histogram) Add(v float64) {
 	h.total++
 	if v < 0 {
 		v = 0
+	}
+	if v > h.max {
+		h.max = v
 	}
 	i := int(v / h.binWidth)
 	if i >= len(h.bins) {
@@ -111,6 +117,9 @@ func (h *Histogram) Merge(o *Histogram) error {
 	}
 	h.overflow += o.overflow
 	h.total += o.total
+	if o.max > h.max {
+		h.max = o.max
+	}
 	return nil
 }
 
@@ -123,8 +132,14 @@ func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
 // Overflow returns the count beyond the last bin.
 func (h *Histogram) Overflow() int64 { return h.overflow }
 
+// Max returns the largest observation (0 when empty; negative samples
+// count as 0).
+func (h *Histogram) Max() float64 { return h.max }
+
 // Percentile returns an upper bound for the p-quantile (0<p<=1) using
-// bin upper edges; the overflow bin returns +Inf.
+// bin upper edges; a quantile in the overflow bin returns the observed
+// maximum, so the result is always finite (encoding/json rejects
+// +Inf).
 func (h *Histogram) Percentile(p float64) float64 {
 	if h.total == 0 || p <= 0 {
 		return 0
@@ -140,7 +155,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 			return float64(i+1) * h.binWidth
 		}
 	}
-	return math.Inf(1)
+	return h.max
 }
 
 // Table is a labelled result table rendered as aligned text.

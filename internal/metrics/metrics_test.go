@@ -64,8 +64,8 @@ func TestHistogram(t *testing.T) {
 	if p := h.Percentile(0.5); p != 30 {
 		t.Fatalf("p50 = %f, want 30", p)
 	}
-	if p := h.Percentile(1.0); !math.IsInf(p, 1) {
-		t.Fatalf("p100 should be +Inf with overflow, got %f", p)
+	if p := h.Percentile(1.0); p != 120 {
+		t.Fatalf("p100 should be the observed max 120 with overflow, got %f", p)
 	}
 	h2 := NewHistogram(1, 4)
 	h2.Add(-5)
@@ -132,12 +132,13 @@ func TestPercentileEdgeCases(t *testing.T) {
 		t.Errorf("Percentile(1.5) = %v, want 30", got)
 	}
 
-	// All observations in the overflow bin: any percentile is +Inf.
+	// All observations in the overflow bin: any percentile is the
+	// observed maximum.
 	h = NewHistogram(10, 4)
 	h.Add(1000)
 	h.Add(2000)
-	if got := h.Percentile(0.5); !math.IsInf(got, 1) {
-		t.Errorf("all-overflow Percentile(0.5) = %v, want +Inf", got)
+	if got := h.Percentile(0.5); got != 2000 {
+		t.Errorf("all-overflow Percentile(0.5) = %v, want max 2000", got)
 	}
 	if h.Overflow() != 2 || h.Total() != 2 {
 		t.Errorf("overflow=%d total=%d", h.Overflow(), h.Total())
@@ -167,16 +168,16 @@ func TestPercentileP999Tail(t *testing.T) {
 	if got := h.Percentile(0.999); got != 1501 {
 		t.Errorf("p999 after second outlier = %v, want 1501", got)
 	}
-	// Beyond-range samples land in overflow, so p999 can report +Inf
-	// while p50 stays finite.
+	// Beyond-range samples land in overflow, so p999 reports the
+	// observed maximum while p50 stays in the fast bin.
 	h.Add(1e9)
 	h.Add(1e9)
 	h.Add(1e9)
 	if got := h.Percentile(0.5); got != 1 {
 		t.Errorf("p50 with overflow tail = %v, want 1", got)
 	}
-	if got := h.Percentile(0.999); !math.IsInf(got, 1) {
-		t.Errorf("p999 with overflow tail = %v, want +Inf", got)
+	if got := h.Percentile(0.999); got != 1e9 {
+		t.Errorf("p999 with overflow tail = %v, want max 1e9", got)
 	}
 }
 

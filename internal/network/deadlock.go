@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // Deadlock analysis: the watchdog in Step flags missing progress; this
@@ -26,21 +25,24 @@ import (
 //     the front of the full downstream buffer.
 func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 	lay := &n.lay
-	ivc := &n.ins[lay.inIdx(node, p, v)]
-	if !ivc.routed || ivc.eject || ivc.unroutable || ivc.q.len() == 0 {
+	i := lay.inIdx(node, p, v)
+	r := n.route[i]
+	if r == routeNone || r <= routeEject || n.qLen[i] == 0 {
 		return nil, false
 	}
+	ivc := &n.ins[i]
 	me := ivc.curMsg
-	if ivc.outPort < 0 {
+	if r == routePending {
 		if len(ivc.candidates) == 0 {
 			return nil, false
 		}
 		needCredit := routing.AllocNeedsCredit(n.alg)
 		stuck = true
 		for _, c := range ivc.candidates {
-			out := &n.outs[lay.outIdx(node, c.Port, c.VC)]
+			o := lay.outIdx(node, c.Port, c.VC)
+			out := &n.outs[o]
 			if out.free() {
-				if !needCredit || out.credits > 0 {
+				if !needCredit || n.credits[o] > 0 {
 					// A claimable candidate: not stuck (merely waiting
 					// for switch allocation).
 					return nil, false
@@ -53,19 +55,19 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 				}
 				continue
 			}
-			if out.ownerMsg != nil && out.ownerMsg != me {
-				edges = append(edges, out.ownerMsg)
+			if owner := n.ownerMsg(o); owner != nil && owner != me {
+				edges = append(edges, owner)
 			}
 		}
 		return edges, stuck
 	}
-	out := &n.outs[lay.outIdx(node, ivc.outPort, ivc.outVC)]
-	if out.credits > 0 {
+	if n.credits[r] > 0 {
 		return nil, false
 	}
 	// Blocked on a full downstream buffer: wait on the worm at its
 	// front.
-	front := n.downstreamFront(node, ivc.outPort, ivc.outVC)
+	op, ov := n.outPortVC(i)
+	front := n.downstreamFront(node, op, ov)
 	if front != nil && front != me {
 		return []*Message{front}, true
 	}
@@ -78,15 +80,11 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 // fed by output (port, vc) of node, or nil when the port has no usable
 // downstream buffer.
 func (n *Network) downstreamFront(node, port, vc int) *Message {
-	down := n.g.Neighbor(topology.NodeID(node), port)
-	if down < 0 {
+	d := n.downInput(node, port, vc)
+	if d < 0 {
 		return nil
 	}
-	dp, ok := n.g.PortTo(down, topology.NodeID(node))
-	if !ok {
-		return nil
-	}
-	return n.ins[n.lay.inIdx(int(down), dp, vc)].frontMsg()
+	return n.frontMsg(d)
 }
 
 // FindDeadlockCycle searches the wait-for graph for a cycle of stuck

@@ -39,29 +39,36 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 		}
 		for _, l := range f.FaultyLinks() {
 			if !prev.LinkFaulty(l.A, l.B) {
-				port := int16(-1)
-				if p, ok := n.g.PortTo(l.A, l.B); ok {
-					port = int16(p)
-				}
 				n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFaultRaised,
-					Node: int32(l.A), Msg: -1, Port: port, VC: -1, Arg: 1})
+					Node: int32(l.A), Msg: -1, Port: int16(n.portTo(l.A, l.B)), VC: -1, Arg: 1})
 			}
 		}
 	}
 
-	killed := make(map[*Message]bool)
+	n.rebuildDead()
+
+	// killed is indexed by message slot; every killed message is in
+	// flight, so it holds a live slot.
+	killed := make([]bool, len(n.msgs))
+	nkilled := 0
+	kill := func(s uint32) {
+		if !killed[s] {
+			killed[s] = true
+			nkilled++
+		}
+	}
 	lay := &n.lay
 
 	// 1. Messages touching failed routers (buffered flits or queued at
 	// a failed source).
 	for node := 0; node < lay.nodes; node++ {
-		if !f.NodeFaulty(topology.NodeID(node)) {
+		if !n.isDead(node) {
 			continue
 		}
 		base := node * lay.inStride
-		for slot := 0; slot < lay.inStride; slot++ {
-			for _, fl := range n.ins[base+slot].q.slice() {
-				killed[fl.msg] = true
+		for i := base; i < base+lay.inStride; i++ {
+			for k := 0; k < int(n.qLen[i]); k++ {
+				kill(flitSlot(n.flitAt(i, k)))
 			}
 		}
 		for _, m := range n.injQ[node] {
@@ -80,16 +87,16 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	// worm is cut.
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.ports; p++ {
-			down := n.g.Neighbor(topology.NodeID(node), p)
+			down := n.downNode(node, p)
 			for v := 0; v < lay.vcs; v++ {
 				out := &n.outs[lay.outIdx(node, p, v)]
-				if out.ownerMsg == nil || out.remaining >= out.ownerMsg.Hdr.Length {
+				if out.owner == noSlot || int(out.remaining) >= n.msgs[out.owner].Hdr.Length {
 					continue
 				}
-				dead := f.NodeFaulty(topology.NodeID(node)) || down == topology.Invalid ||
-					f.NodeFaulty(down) || f.LinkFaulty(topology.NodeID(node), down)
+				dead := n.isDead(node) || down == topology.Invalid ||
+					n.isDead(int(down)) || f.LinkFaulty(topology.NodeID(node), down)
 				if dead {
-					killed[out.ownerMsg] = true
+					kill(out.owner)
 				}
 			}
 		}
@@ -105,31 +112,41 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	// buffered flit, so sweeping the input queues sees each one.
 	if flusher, ok := n.alg.(routing.ReconfigFlusher); ok {
 		for i := range n.ins {
-			for _, flt := range n.ins[i].q.slice() {
-				if !killed[flt.msg] && flusher.FlushOnFault(&flt.msg.Hdr) {
-					killed[flt.msg] = true
+			for k := 0; k < int(n.qLen[i]); k++ {
+				s := flitSlot(n.flitAt(i, k))
+				if !killed[s] && flusher.FlushOnFault(&n.msgs[s].Hdr) {
+					kill(s)
 				}
 			}
 		}
 	}
 
-	// 3. Remove killed worms everywhere and account for them.
+	// 3. Remove killed worms everywhere and account for them, in slot
+	// order.
+	var kept []uint32
 	for i := range n.ins {
-		ivc := &n.ins[i]
-		if ivc.q.len() == 0 {
+		l := int(n.qLen[i])
+		if l == 0 {
 			continue
 		}
-		live := ivc.q.slice()
-		kept := live[:0]
-		for _, fl := range live {
-			if !killed[fl.msg] {
+		if n.isInjection(i) {
+			// One message per injection VC: all of it goes or stays.
+			if killed[flitSlot(n.front(i))] {
+				n.qLen[i], n.qHead[i] = 0, 0
+			}
+			continue
+		}
+		kept = kept[:0]
+		for k := 0; k < l; k++ {
+			if fl := n.flitAt(i, k); !killed[flitSlot(fl)] {
 				kept = append(kept, fl)
 			}
 		}
-		ivc.q.truncate(len(kept))
+		copy(n.ring[i*n.depth:], kept)
+		n.qHead[i], n.qLen[i] = 0, int32(len(kept))
 	}
-	for m := range killed {
-		if m.State == StateInFlight {
+	for s, k := range killed {
+		if m := n.msgs[s]; k && m.State == StateInFlight {
 			m.State = StateKilled
 			m.DoneTime = n.now
 			n.stats.Killed++
@@ -152,44 +169,51 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	// 4. Release outputs owned by killed worms; re-route allocations
 	// that would cross a dead link but have not moved a flit yet;
 	// recompute credits from the surviving buffer occupancy.
-	for i := range n.outs {
-		out := &n.outs[i]
-		if out.ownerMsg != nil && killed[out.ownerMsg] {
-			n.releaseOutput(out)
+	for o := range n.outs {
+		if s := n.outs[o].owner; s != noSlot && killed[s] {
+			n.releaseOutput(o)
 		}
 	}
 	for node := 0; node < lay.nodes; node++ {
 		for slot := 0; slot < lay.inStride; slot++ {
-			ivc := &n.ins[node*lay.inStride+slot]
-			if ivc.outPort < 0 {
+			i := node*lay.inStride + slot
+			r := n.route[i]
+			if r < 0 {
 				// Unallocated: recompute the decision under the
 				// new fault state next cycle — unless the worm is
 				// already partially absorbed (the head flit is
 				// gone): clearing the route state of a headless
 				// worm would leave routeStage unable to ever route
 				// it again and wedge the input VC.
-				if ivc.routed && !ivc.eject && (ivc.q.len() == 0 || ivc.q.front().head) {
-					ivc.resetRoute()
+				if (r == routePending || r == routeDrop) && (n.qLen[i] == 0 || n.front(i)&flitHead != 0) {
+					n.resetRoute(i)
 				}
 				continue
 			}
-			if ivc.curMsg == nil || killed[ivc.curMsg] {
+			cur := n.ins[i].curMsg
+			if cur == nil || killed[cur.slot] {
 				// The worm this allocation belonged to is gone.
-				ivc.resetRoute()
+				n.resetRoute(i)
 				continue
 			}
-			out := &n.outs[lay.outIdx(node, ivc.outPort, ivc.outVC)]
-			down := n.g.Neighbor(topology.NodeID(node), ivc.outPort)
-			dead := down == topology.Invalid || f.LinkFaulty(topology.NodeID(node), down) || f.NodeFaulty(down)
+			p, _ := n.outPortVC(i)
+			down := n.downNode(node, p)
+			dead := down == topology.Invalid || f.LinkFaulty(topology.NodeID(node), down) || n.isDead(int(down))
 			if dead {
-				if out.remaining == ivc.curMsg.Hdr.Length {
+				if int(n.outs[r].remaining) == cur.Hdr.Length {
 					// Nothing sent yet: safe to re-route.
-					n.releaseOutput(out)
-					ivc.resetRoute()
+					n.releaseOutput(int(r))
+					n.resetRoute(i)
 				}
 				// Otherwise the worm already spans the link and was
 				// killed in step 2.
 			}
+		}
+	}
+	// Every reference to a killed message is gone: recycle its slot.
+	for s, k := range killed {
+		if k {
+			n.freeSlot(uint32(s))
 		}
 	}
 	// Pending credit returns are superseded by the from-scratch
@@ -215,15 +239,8 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	}
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFaultPropagated,
-			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: int32(len(killed))})
+			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: int32(nkilled)})
 	}
-}
-
-// releaseOutput frees one output VC.
-func (n *Network) releaseOutput(out *outputVC) {
-	out.ownerInPort, out.ownerInVC = -1, -1
-	out.ownerMsg = nil
-	out.remaining = 0
 }
 
 // recomputeCredits rebuilds every output's credit count from the
@@ -232,17 +249,10 @@ func (n *Network) recomputeCredits() {
 	lay := &n.lay
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.ports; p++ {
-			down := n.g.Neighbor(topology.NodeID(node), p)
-			if down == topology.Invalid {
-				continue
-			}
-			dp, ok := n.g.PortTo(down, topology.NodeID(node))
-			if !ok {
-				continue
-			}
 			for v := 0; v < lay.vcs; v++ {
-				n.outs[lay.outIdx(node, p, v)].credits =
-					n.cfg.BufDepth - n.ins[lay.inIdx(int(down), dp, v)].q.len()
+				if d := n.downInput(node, p, v); d >= 0 {
+					n.credits[lay.outIdx(node, p, v)] = int32(n.depth) - n.qLen[d]
+				}
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package network
 
-import (
-	"fmt"
-
-	"repro/internal/topology"
-)
+import "fmt"
 
 // CheckInvariants validates the internal consistency of the simulator
 // state; tests call it periodically. It returns the first violation
@@ -14,60 +10,117 @@ func (n *Network) CheckInvariants() error {
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				if p != lay.ports && ivc.q.len() > n.cfg.BufDepth {
+				i := lay.inIdx(node, p, v)
+				if p != lay.ports && int(n.qLen[i]) > n.cfg.BufDepth {
 					return fmt.Errorf("node %d input (%d,%d): %d flits exceed buffer depth %d",
-						node, p, v, ivc.q.len(), n.cfg.BufDepth)
+						node, p, v, n.qLen[i], n.cfg.BufDepth)
 				}
-				if ivc.outPort >= 0 {
-					out := &n.outs[lay.outIdx(node, ivc.outPort, ivc.outVC)]
-					if out.ownerInPort != p || out.ownerInVC != v {
-						return fmt.Errorf("node %d input (%d,%d): allocation to (%d,%d) not owned back",
-							node, p, v, ivc.outPort, ivc.outVC)
+				if r := n.route[i]; r >= 0 {
+					op, ov := n.outPortVC(i)
+					if int(r)/lay.outStride != node {
+						return fmt.Errorf("node %d input (%d,%d): allocated output %d belongs to another router",
+							node, p, v, r)
 					}
-					if out.ownerMsg != ivc.curMsg {
+					if int(n.outs[r].ownerIn) != p*lay.vcs+v {
+						return fmt.Errorf("node %d input (%d,%d): allocation to (%d,%d) not owned back",
+							node, p, v, op, ov)
+					}
+					if n.ownerMsg(int(r)) != n.ins[i].curMsg {
 						return fmt.Errorf("node %d output (%d,%d): owner message mismatch",
-							node, ivc.outPort, ivc.outVC)
+							node, op, ov)
 					}
 				}
 			}
 		}
 		for p := 0; p < lay.ports; p++ {
-			down := n.g.Neighbor(topology.NodeID(node), p)
 			for v := 0; v < lay.vcs; v++ {
-				out := &n.outs[lay.outIdx(node, p, v)]
-				if out.credits < 0 || out.credits > n.cfg.BufDepth {
+				o := lay.outIdx(node, p, v)
+				out := &n.outs[o]
+				credits := int(n.credits[o])
+				if credits < 0 || credits > n.cfg.BufDepth {
 					return fmt.Errorf("node %d output (%d,%d): credits %d out of range",
-						node, p, v, out.credits)
+						node, p, v, credits)
 				}
-				if down >= 0 {
-					dp, ok := n.g.PortTo(down, topology.NodeID(node))
-					if ok {
-						occ := n.ins[lay.inIdx(int(down), dp, v)].q.len()
-						inFlight := 0
-						for _, c := range n.creditQueue {
-							if int(c.node) == node && c.port == p && c.vc == v {
-								inFlight++
-							}
-						}
-						if out.credits+occ+inFlight != n.cfg.BufDepth {
-							return fmt.Errorf("node %d output (%d,%d): credits %d + occupancy %d + in-flight %d != depth %d",
-								node, p, v, out.credits, occ, inFlight, n.cfg.BufDepth)
+				if d := n.downInput(node, p, v); d >= 0 {
+					occ := int(n.qLen[d])
+					inFlight := 0
+					for _, c := range n.creditQueue {
+						if int(c.out) == o {
+							inFlight++
 						}
 					}
+					if credits+occ+inFlight != n.cfg.BufDepth {
+						return fmt.Errorf("node %d output (%d,%d): credits %d + occupancy %d + in-flight %d != depth %d",
+							node, p, v, credits, occ, inFlight, n.cfg.BufDepth)
+					}
 				}
-				if out.ownerMsg == nil && out.remaining != 0 {
+				if out.owner == noSlot && out.remaining != 0 {
 					return fmt.Errorf("node %d output (%d,%d): free but remaining %d",
 						node, p, v, out.remaining)
 				}
-				if out.ownerMsg != nil && out.free() {
+				if out.owner != noSlot && out.free() {
 					return fmt.Errorf("node %d output (%d,%d): owner message set but port free",
 						node, p, v)
 				}
 			}
 		}
 	}
+	if err := n.checkSlots(); err != nil {
+		return err
+	}
 	return n.checkActiveSets()
+}
+
+// checkSlots verifies the message slot table: every buffered flit and
+// every owned output VC names a live slot whose message is in flight,
+// and the live slots and the free list together cover the table
+// exactly once (so a freed slot has no buffered flit).
+func (n *Network) checkSlots() error {
+	for i := range n.ins {
+		for k := 0; k < int(n.qLen[i]); k++ {
+			s := flitSlot(n.flitAt(i, k))
+			if int(s) >= len(n.msgs) {
+				return fmt.Errorf("input VC %d: flit names slot %d beyond the table (%d)", i, s, len(n.msgs))
+			}
+			m := n.msgs[s]
+			if m == nil {
+				return fmt.Errorf("input VC %d: flit names freed slot %d", i, s)
+			}
+			if m.State != StateInFlight {
+				return fmt.Errorf("input VC %d: flit names slot %d of message %d in state %d", i, s, m.ID, m.State)
+			}
+		}
+	}
+	for o := range n.outs {
+		if s := n.outs[o].owner; s != noSlot && (int(s) >= len(n.msgs) || n.msgs[s] == nil) {
+			return fmt.Errorf("output VC %d: owned by dead slot %d", o, s)
+		}
+	}
+	seen := make([]bool, len(n.msgs))
+	live := 0
+	for s, m := range n.msgs {
+		if m == nil {
+			continue
+		}
+		seen[s] = true
+		live++
+		if m.slot != uint32(s) {
+			return fmt.Errorf("slot %d: message %d records slot %d", s, m.ID, m.slot)
+		}
+	}
+	for _, s := range n.freeSlots {
+		if int(s) >= len(n.msgs) || seen[s] {
+			return fmt.Errorf("free slot %d is live, duplicated or beyond the table", s)
+		}
+		seen[s] = true
+	}
+	if live+len(n.freeSlots) != len(n.msgs) {
+		return fmt.Errorf("slot table: %d live + %d free != %d slots", live, len(n.freeSlots), len(n.msgs))
+	}
+	if live != n.inFlight {
+		return fmt.Errorf("slot table: %d live slots, %d messages in flight", live, n.inFlight)
+	}
+	return nil
 }
 
 // checkActiveSets verifies that every active-set membership equals its
@@ -80,12 +133,13 @@ func (n *Network) checkActiveSets() error {
 	lay := &n.lay
 	for node := 0; node < lay.nodes; node++ {
 		for slot := 0; slot < lay.inStride; slot++ {
-			ivc := &n.ins[node*lay.inStride+slot]
-			qlen := ivc.q.len()
-			wantRoute := !ivc.routed && qlen > 0 && ivc.q.front().head
-			wantVA := ivc.routed && !ivc.eject && !ivc.unroutable && ivc.outPort < 0
-			wantSA := ivc.outPort >= 0 && qlen > 0
-			wantDrain := ivc.routed && (ivc.eject || ivc.unroutable) && qlen > 0
+			i := node*lay.inStride + slot
+			qlen := n.qLen[i]
+			r := n.route[i]
+			wantRoute := r == routeNone && qlen > 0 && n.front(i)&flitHead != 0
+			wantVA := r == routePending
+			wantSA := r >= 0 && qlen > 0
+			wantDrain := (r == routeEject || r == routeDrop) && qlen > 0
 			if got := n.routeSet.has(node, slot); got != wantRoute {
 				return fmt.Errorf("node %d slot %d: routeSet membership %v, predicate %v", node, slot, got, wantRoute)
 			}

@@ -83,12 +83,14 @@ type Message struct {
 	// such drops for the maze family.
 	Unreachable bool
 
-	flitsSent int // flits that have left the injection stage
 	// flitsEjected counts flits already delivered at the destination;
 	// when a fault event kills a partially absorbed worm, this many
 	// flits are backed out of Stats.FlitsDelivered (killed messages are
 	// excluded from the statistics wholesale, assumption iv).
 	flitsEjected int
+	// slot is the message's entry in the network's slot table while it
+	// is in flight (see arena.go); stale once the message has finished.
+	slot uint32
 }
 
 // Latency returns the total queue+network latency in cycles, or -1 if
@@ -109,10 +111,16 @@ func (m *Message) NetworkLatency() int64 {
 	return m.DoneTime - m.StartTime
 }
 
-// flit is one flow-control unit in a buffer. Only the identity of the
-// owning message and the head/tail role matter for the simulation.
-type flit struct {
-	msg  *Message
-	head bool
-	tail bool
-}
+// A flit in a buffer is a uint32 handle: the owning message's slot
+// shifted left by flitSlotShift, plus a head bit and a tail bit (a
+// two-flit message has one head and one tail; body flits carry
+// neither). Only the identity of the message and the head/tail role
+// matter for the simulation, so the flit arenas hold no pointers.
+const (
+	flitTail      uint32 = 1 << 0
+	flitHead      uint32 = 1 << 1
+	flitSlotShift        = 2
+)
+
+// flitSlot returns the message slot a flit handle refers to.
+func flitSlot(f uint32) uint32 { return f >> flitSlotShift }

@@ -152,11 +152,9 @@ func (s *Stats) DeliveredRatio() float64 {
 // send describes one flit movement decided in the allocation phase and
 // applied atomically at the end of the cycle.
 type send struct {
-	from     int // source node
-	fromPort int
-	fromVC   int
-	outPort  int
-	outVC    int
+	node int32 // source router
+	slot int32 // source input slot (port*vcs + vc)
+	out  int32 // outs index of the granted output VC
 }
 
 // Network is the cycle-driven simulator instance.
@@ -170,20 +168,50 @@ type Network struct {
 	nextID int64
 
 	// lay precomputes the arena strides; all per-router state lives in
-	// the flat arenas below, indexed by lay (see arena.go).
+	// the flat arenas below, indexed by lay (see arena.go and
+	// router.go for the hot/cold split).
 	lay layout
-	// ins[lay.inIdx(node, port, vc)]: port 0..Ports()-1 are links,
-	// port Ports() is the injection pseudo-port (its own VC array so an
-	// injected message can claim any VC class).
-	ins []inputVC
-	// outs[lay.outIdx(node, port, vc)] for the link ports only.
+	// depth is the per-VC ring capacity (Config.BufDepth).
+	depth int
+
+	// Hot, pointer-free per-VC arrays. Input VC i owns
+	// ring[i*depth:(i+1)*depth], a ring of flit handles with head
+	// qHead[i] and length qLen[i]; route[i] is its route state or
+	// allocated output VC. credits[o] counts the free downstream
+	// buffer slots of output VC o.
+	ring    []uint32
+	qHead   []int32
+	qLen    []int32
+	route   []int32
+	credits []int32
+
+	// Cold per-VC state. ins[lay.inIdx(node, port, vc)]: port
+	// 0..Ports()-1 are links, port Ports() is the injection
+	// pseudo-port (its own VC array so an injected message can claim
+	// any VC class). outs[lay.outIdx(node, port, vc)] for the link
+	// ports only.
+	ins  []inputVC
 	outs []outputVC
+
+	// Link tables (arena.go): downIn[link] is the input VC 0 that
+	// output link = node*ports + port feeds, upOut[link] the upstream
+	// output VC 0 feeding input port link; -1 when unconnected.
+	downIn []int32
+	upOut  []int32
+	// dead is the failed-router bitset, rebuilt by ApplyFaults.
+	dead []uint64
+
+	// msgs is the message slot table flit handles index; freeSlots
+	// holds the slots of finished messages for reuse (arena.go).
+	msgs      []*Message
+	freeSlots []uint32
+
 	// injQ[node] is the source queue of not-yet-started messages.
 	injQ [][]*Message
 	// rrIn[node*lay.inPorts+port] is the round-robin pointer for
 	// nominating one VC per input port in SA; rrOut likewise
 	// (node*lay.ports+port) for picking one request per output port.
-	rrIn  []int
+	rrIn  []uint8
 	rrOut []int
 	// sent[node*lay.ports+port] counts flits transmitted through each
 	// output port (link-utilisation statistics).
@@ -214,15 +242,18 @@ type Network struct {
 	pmFired bool
 	// Messages holds all records when cfg.RecordMessages is set.
 	Messages []*Message
-	// creditQueue holds in-flight credit returns when CreditDelay > 0
-	// (due cycle, upstream router/port/vc).
+	// creditQueue holds in-flight credit returns when CreditDelay > 0.
 	creditQueue []pendingCredit
 	// freeScratch backs allocStage's free-candidate filter; nomScratch
 	// backs switchStage's per-output nominee lists; moveScratch backs
 	// the per-cycle send list. All are reused every cycle.
 	freeScratch []routing.Candidate
-	nomScratch  [][]nominee
+	nomScratch  [][]int32
 	moveScratch []send
+	// drain accumulates the serial drain stage's statistics, folded
+	// into stats at the end of the stage (the parallel engine keeps
+	// one per shard).
+	drain drainDelta
 	// par is the deterministic parallel stepping engine (nil when
 	// Config.Workers <= 1 or the engine/selector forced the serial
 	// fallback; parReason says why).
@@ -230,16 +261,11 @@ type Network struct {
 	parReason string
 }
 
-// nominee is one (input port, input VC) requesting an output port in
-// the switch-allocation stage.
-type nominee struct{ port, vc int }
-
-// pendingCredit is one credit travelling back upstream.
+// pendingCredit is one credit travelling back upstream to output VC
+// out.
 type pendingCredit struct {
-	due  int64
-	node topology.NodeID
-	port int
-	vc   int
+	due int64
+	out int32
 }
 
 // New builds a network simulator from cfg, applying defaults.
@@ -276,41 +302,28 @@ func New(cfg Config) *Network {
 		sel:    cfg.Selector,
 		faults: fault.NewSet(),
 		rec:    cfg.Recorder,
+		depth:  cfg.BufDepth,
 	}
 	n.lay = newLayout(cfg.Graph.Nodes(), cfg.Graph.Ports(), cfg.VCs)
 	lay := &n.lay
-	n.ins = make([]inputVC, lay.nodes*lay.inStride)
-	n.outs = make([]outputVC, lay.nodes*lay.outStride)
+	nIn, nOut := lay.nodes*lay.inStride, lay.nodes*lay.outStride
+	n.ring = make([]uint32, nIn*n.depth)
+	n.qHead = make([]int32, nIn)
+	n.qLen = make([]int32, nIn)
+	n.route = make([]int32, nIn)
+	n.credits = make([]int32, nOut)
+	n.ins = make([]inputVC, nIn)
+	n.outs = make([]outputVC, nOut)
+	n.dead = make([]uint64, (lay.nodes+63)/64)
+	n.buildLinkTables()
+	// The slot table starts with room for one message per input port;
+	// it grows only past that many messages in flight.
+	n.msgs = make([]*Message, 0, lay.nodes*lay.inPorts)
+	n.freeSlots = make([]uint32, 0, cap(n.msgs))
 	n.injQ = make([][]*Message, lay.nodes)
-	n.rrIn = make([]int, lay.nodes*lay.inPorts)
+	n.rrIn = make([]uint8, lay.nodes*lay.inPorts)
 	n.rrOut = make([]int, lay.nodes*lay.ports)
 	n.sent = make([]int64, lay.nodes*lay.ports)
-	// One pooled backing arena for every link-attached VC buffer: a
-	// link VC never holds more than BufDepth flits, so each gets a
-	// fixed-capacity sub-slice (full slice expression — an append past
-	// capacity can never bleed into the neighbour). The injection
-	// pseudo-port VCs are unbounded and grow on demand.
-	arena := make([]flit, lay.nodes*lay.ports*lay.vcs*cfg.BufDepth)
-	off := 0
-	for node := 0; node < lay.nodes; node++ {
-		for p := 0; p < lay.ports; p++ {
-			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				ivc.q.buf = arena[off:off : off+cfg.BufDepth]
-				off += cfg.BufDepth
-			}
-		}
-	}
-	// The injection pseudo-port VCs are unbounded (a whole message is
-	// materialised at once), but they still get pooled backing sized
-	// for typical message lengths; a longer message grows its node's
-	// buffer once and keeps it. Only VC 0 receives injected traffic.
-	injCap := 4 * cfg.BufDepth
-	injArena := make([]flit, lay.nodes*injCap)
-	for node := 0; node < lay.nodes; node++ {
-		ivc := &n.ins[lay.inIdx(node, lay.ports, 0)]
-		ivc.q.buf = injArena[node*injCap : node*injCap : (node+1)*injCap]
-	}
 	// Routing candidates persist across cycles (VA retries consume
 	// them), so each input slot owns a fixed-capacity sub-slice too. An
 	// algorithm offering more than candCap outputs for one decision
@@ -320,22 +333,17 @@ func New(cfg Config) *Network {
 	if pv := lay.ports * lay.vcs; pv < candCap {
 		candCap = pv
 	}
-	cands := make([]routing.Candidate, len(n.ins)*candCap)
+	cands := make([]routing.Candidate, nIn*candCap)
 	for i := range n.ins {
 		n.ins[i].candidates = cands[i*candCap : i*candCap : (i+1)*candCap]
+		n.resetRoute(i)
 	}
-	for i := range n.ins {
-		n.ins[i].resetRoute()
+	for o := range n.outs {
+		n.releaseOutput(o)
+		n.credits[o] = int32(cfg.BufDepth)
 	}
-	for i := range n.outs {
-		n.outs[i].ownerInPort = -1
-		n.outs[i].ownerInVC = 0
-		n.outs[i].credits = cfg.BufDepth
-	}
-	n.routeSet = newVCSet(lay.nodes, lay.inStride)
-	n.vaSet = newVCSet(lay.nodes, lay.inStride)
-	n.saSet = newVCSet(lay.nodes, lay.inStride)
-	n.drainSet = newVCSet(lay.nodes, lay.inStride)
+	sets := newStageSets(lay.nodes, lay.inStride)
+	n.routeSet, n.vaSet, n.saSet, n.drainSet = sets[stRoute], sets[stVA], sets[stSA], sets[stDrain]
 	n.injNodes = newNodeSet(lay.nodes)
 	if n.rec != nil {
 		n.rec.SetClock(n.Now)
@@ -402,7 +410,7 @@ func (n *Network) OutFree(node topology.NodeID, port, vc int) bool {
 // Credits returns the free downstream buffer slots of output
 // (port,vc).
 func (n *Network) Credits(node topology.NodeID, port, vc int) int {
-	return n.outs[n.lay.outIdx(int(node), port, vc)].credits
+	return int(n.credits[n.lay.outIdx(int(node), port, vc)])
 }
 
 // QueuedFlits returns the data volume still to pass output (port,vc).
@@ -410,7 +418,7 @@ func (n *Network) QueuedFlits(node topology.NodeID, port, vc int) int {
 	total := 0
 	base := n.lay.outIdx(int(node), port, 0)
 	for v := 0; v < n.cfg.VCs; v++ {
-		total += n.outs[base+v].remaining
+		total += int(n.outs[base+v].remaining)
 	}
 	return total
 }
@@ -426,9 +434,8 @@ func (n *Network) Step() {
 	n.stepSerial()
 }
 
-// stepSerial is the single-threaded stepping path — byte-for-byte the
-// pre-parallel Step; the parallel engine's differential tests treat it
-// as the oracle.
+// stepSerial is the single-threaded stepping path; the parallel
+// engine's differential tests treat it as the oracle.
 func (n *Network) stepSerial() {
 	n.deliverCredits()
 	n.injectStage()
@@ -439,6 +446,12 @@ func (n *Network) stepSerial() {
 	if n.drainStage() {
 		progress = true
 	}
+	n.endCycle(progress)
+}
+
+// endCycle runs the per-cycle epilogue shared by both engines:
+// watchdog, livelock sampling, peak sampling and the clock.
+func (n *Network) endCycle(progress bool) {
 	if progress {
 		n.lastProgress = n.now
 	} else if n.inFlight > 0 && n.now-n.lastProgress > n.cfg.WatchdogCycles {
@@ -475,17 +488,27 @@ func (n *Network) Drain(maxCycles int64) bool {
 	return n.Idle()
 }
 
+// emit records ev directly (ops == nil: serial stepping) or defers it
+// into a parallel shard's op list.
+func (n *Network) emit(ops *[]deferredOp, ev trace.Event) {
+	if ops == nil {
+		n.rec.Record(ev)
+	} else {
+		*ops = append(*ops, deferredOp{kind: opEvent, ev: ev})
+	}
+}
+
 // injectStage materialises the next queued message of every node with
 // a non-empty injection queue into its injection pseudo-port when that
-// port is empty.
+// port is empty: the message takes a slot and the port's VC 0 holds its
+// head handle with qLen = Length flits left.
 func (n *Network) injectStage() {
 	n.injNodes.forEach(func(node int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
+		if n.isDead(node) {
 			return // killed separately in ApplyFaults
 		}
-		injSlot := n.lay.ports * n.lay.vcs // (injection pseudo-port, VC 0)
-		ivc := &n.ins[node*n.lay.inStride+injSlot]
-		if ivc.q.len() > 0 {
+		i := node*n.lay.inStride + n.lay.injBase // (injection pseudo-port, VC 0)
+		if n.qLen[i] > 0 {
 			return // previous message still streaming
 		}
 		m := n.injQ[node][0]
@@ -498,11 +521,15 @@ func (n *Network) injectStage() {
 		if n.epochs != nil {
 			m.Hdr.Epoch = n.epochs.AdmitEpoch()
 		}
-		for i := 0; i < m.Hdr.Length; i++ {
-			ivc.q.pushBack(flit{msg: m, head: i == 0, tail: i == m.Hdr.Length-1})
+		f := n.allocSlot(m)<<flitSlotShift | flitHead
+		if m.Hdr.Length == 1 {
+			f |= flitTail
 		}
-		ivc.resetRoute()
-		n.noteInput(node, injSlot)
+		n.ring[i*n.depth] = f
+		n.qHead[i] = 0
+		n.qLen[i] = int32(m.Hdr.Length)
+		n.resetRoute(i)
+		n.noteInput(node, n.lay.injBase)
 		n.queued--
 		n.inFlight++
 		if n.rec != nil {
@@ -516,43 +543,50 @@ func (n *Network) injectStage() {
 // unrouted head — exactly the routeSet membership.
 func (n *Network) routeStage() {
 	n.routeSet.forEach(0, n.lay.nodes, func(node, slot int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
-			return
-		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		m := ivc.q.front().msg
-		ivc.curMsg = m
-		if m.Hdr.Dst == topology.NodeID(node) {
-			ivc.routed = true
-			ivc.eject = true
-			ivc.decisionReady = n.now
-			n.noteInput(node, slot)
-			return
-		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
-		req := n.requestFor(node, p, v, m)
-		steps := n.alg.Steps(req)
-		m.Steps += steps
-		ivc.candidates = routing.RouteInto(n.alg, req, ivc.candidates[:0])
-		ivc.routed = true
-		ivc.unroutable = len(ivc.candidates) == 0
-		if ivc.unroutable {
-			if judge, ok := n.alg.(routing.UnreachableJudge); ok && judge.UnreachableVerdict(req) {
-				m.Unreachable = true
-			}
-		}
-		ivc.decisionReady = n.now + int64(steps*n.cfg.DecisionCyclesPerStep)
-		n.noteInput(node, slot)
-		if n.rec != nil {
-			kind := trace.KRouteComputed
-			if ivc.unroutable {
-				kind = trace.KUnroutable
-			}
-			n.rec.Record(trace.Event{Cycle: n.now, Kind: kind,
-				Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
-				Arg: int32(len(ivc.candidates))})
-		}
+		n.routeOne(n.alg, node, slot, nil)
 	})
+}
+
+// routeOne performs RC for input slot of node on alg; events go
+// through emit.
+func (n *Network) routeOne(alg routing.Algorithm, node, slot int, ops *[]deferredOp) {
+	if n.isDead(node) {
+		return
+	}
+	i := node*n.lay.inStride + slot
+	ivc := &n.ins[i]
+	m := n.msgs[flitSlot(n.front(i))]
+	ivc.curMsg = m
+	if m.Hdr.Dst == topology.NodeID(node) {
+		n.route[i] = routeEject
+		ivc.decisionReady = n.now
+		n.noteInput(node, slot)
+		return
+	}
+	p, v := int(n.lay.portOf[slot]), int(n.lay.vcOf[slot])
+	req := n.requestFor(node, p, v, m)
+	steps := alg.Steps(req)
+	m.Steps += steps
+	ivc.candidates = routing.RouteInto(alg, req, ivc.candidates[:0])
+	unroutable := len(ivc.candidates) == 0
+	n.route[i] = routePending
+	if unroutable {
+		n.route[i] = routeDrop
+		if judge, ok := alg.(routing.UnreachableJudge); ok && judge.UnreachableVerdict(req) {
+			m.Unreachable = true
+		}
+	}
+	ivc.decisionReady = n.now + int64(steps*n.cfg.DecisionCyclesPerStep)
+	n.noteInput(node, slot)
+	if n.rec != nil {
+		kind := trace.KRouteComputed
+		if unroutable {
+			kind = trace.KUnroutable
+		}
+		n.emit(ops, trace.Event{Cycle: n.now, Kind: kind,
+			Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
+			Arg: int32(len(ivc.candidates))})
+	}
 }
 
 func (n *Network) requestFor(node, p, v int, m *Message) routing.Request {
@@ -573,40 +607,49 @@ func (n *Network) allocStage() {
 	// only mutated in the serial phases, so the read is stable here.
 	needCredit := routing.AllocNeedsCredit(n.alg)
 	n.vaSet.forEach(0, n.lay.nodes, func(node, slot int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
-			return
-		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		if n.now < ivc.decisionReady {
-			return
-		}
-		outBase := node * n.lay.outStride
-		free := n.freeScratch[:0]
-		for _, c := range ivc.candidates {
-			out := &n.outs[outBase+c.Port*n.lay.vcs+c.VC]
-			if out.free() && (!needCredit || out.credits > 0) {
-				free = append(free, c)
-			}
-		}
-		n.freeScratch = free[:0] // selectors do not retain the slice
-		if len(free) == 0 {
-			return
-		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
-		m := ivc.frontMsg()
-		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
-		n.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
-		ivc.outPort, ivc.outVC = chosen.Port, chosen.VC
-		out := &n.outs[outBase+chosen.Port*n.lay.vcs+chosen.VC]
-		out.ownerInPort, out.ownerInVC = p, v
-		out.ownerMsg = m
-		out.remaining = m.Hdr.Length
-		n.noteInput(node, slot)
-		if n.rec != nil {
-			n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCAllocated,
-				Node: int32(node), Msg: m.ID, Port: int16(chosen.Port), VC: int16(chosen.VC)})
-		}
+		n.freeScratch = n.allocOne(n.alg, node, slot, needCredit, n.freeScratch, nil)
 	})
+}
+
+// allocOne performs VA for input slot of node, filtering candidates
+// through the free scratch (returned for reuse); events go through
+// emit.
+func (n *Network) allocOne(alg routing.Algorithm, node, slot int, needCredit bool, free []routing.Candidate, ops *[]deferredOp) []routing.Candidate {
+	if n.isDead(node) {
+		return free
+	}
+	i := node*n.lay.inStride + slot
+	ivc := &n.ins[i]
+	if n.now < ivc.decisionReady {
+		return free
+	}
+	outBase := node * n.lay.outStride
+	free = free[:0]
+	for _, c := range ivc.candidates {
+		o := outBase + c.Port*n.lay.vcs + c.VC
+		if n.outs[o].free() && (!needCredit || n.credits[o] > 0) {
+			free = append(free, c)
+		}
+	}
+	if len(free) == 0 {
+		return free // selectors do not retain the slice
+	}
+	p, v := int(n.lay.portOf[slot]), int(n.lay.vcOf[slot])
+	m := n.frontMsg(i)
+	chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
+	alg.NoteHop(n.requestFor(node, p, v, m), chosen)
+	o := outBase + chosen.Port*n.lay.vcs + chosen.VC
+	n.route[i] = int32(o)
+	out := &n.outs[o]
+	out.ownerIn = int32(slot)
+	out.owner = m.slot
+	out.remaining = int32(m.Hdr.Length)
+	n.noteInput(node, slot)
+	if n.rec != nil {
+		n.emit(ops, trace.Event{Cycle: n.now, Kind: trace.KVCAllocated,
+			Node: int32(node), Msg: m.ID, Port: int16(chosen.Port), VC: int16(chosen.VC)})
+	}
+	return free
 }
 
 // switchStage performs SA: each input port nominates one VC, each
@@ -619,10 +662,10 @@ func (n *Network) allocStage() {
 func (n *Network) switchStage() []send {
 	moves := n.moveScratch[:0]
 	if n.nomScratch == nil {
-		n.nomScratch = make([][]nominee, n.g.Ports())
+		n.nomScratch = make([][]int32, n.lay.ports)
 	}
 	n.saSet.forEachNode(0, n.lay.nodes, func(node int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
+		if n.isDead(node) {
 			return
 		}
 		moves = n.switchNode(node, n.nomScratch, moves, nil)
@@ -632,10 +675,10 @@ func (n *Network) switchStage() []send {
 }
 
 // switchNode runs nomination and grant for one active router,
-// appending the granted movements to moves. Blocked events are
-// recorded directly when ops is nil (serial stepping) or deferred into
-// *ops (parallel shards).
-func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, ops *[]deferredOp) []send {
+// appending the granted movements to moves. nomineesByOut holds the
+// nominated input slots per output port. Blocked events go through
+// emit.
+func (n *Network) switchNode(node int, nomineesByOut [][]int32, moves []send, ops *[]deferredOp) []send {
 	lay := &n.lay
 	inBase := node * lay.inStride
 	outBase := node * lay.outStride
@@ -646,17 +689,16 @@ func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, 
 	}
 	// Nomination: one VC per input port (round-robin fairness). The
 	// per-output nominee lists live in reused scratch storage (indexed
-	// by output port — grants are independent per output, so the fixed
-	// iteration order is behaviourally equivalent to the map it
-	// replaced). The serial walk's per-slot skip condition
-	// (outPort < 0 || empty queue) is exactly non-membership in the SA
-	// set, so the node's saSet mask words double as a port/VC skip mask:
-	// ports with no active VC cost one bit test, and within a port only
-	// active VCs are visited — in unchanged round-robin order.
-	saBase := node * n.saSet.wpn
-	vcMask := uint64(1)<<uint(lay.vcs) - 1
+	// by output port — grants are independent per output). The serial
+	// walk's per-slot skip condition (unallocated or empty queue) is
+	// exactly non-membership in the SA set, so the node's saSet mask
+	// words double as a port/VC skip mask: ports with no active VC cost
+	// one bit test, and within a port only active VCs are visited — in
+	// unchanged round-robin order.
+	saBase := n.saSet.base(node)
+	vcs := lay.vcs
+	vcMask := uint64(1)<<uint(vcs) - 1
 	for p := 0; p < lay.inPorts; p++ {
-		vcs := lay.vcs
 		bitpos := p * vcs
 		pm := n.saSet.words[saBase+bitpos>>6] >> (bitpos & 63)
 		if rem := 64 - bitpos&63; rem < vcs {
@@ -667,28 +709,31 @@ func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, 
 			continue
 		}
 		for off := 0; off < vcs; off++ {
-			v := (n.rrIn[rrBase+p] + off) % vcs
+			v := int(n.rrIn[rrBase+p]) + off
+			if v >= vcs {
+				v -= vcs
+			}
 			if pm&(1<<uint(v)) == 0 {
 				continue
 			}
-			ivc := &n.ins[inBase+p*vcs+v]
-			out := &n.outs[outBase+ivc.outPort*vcs+ivc.outVC]
-			if out.credits <= 0 {
-				if n.rec != nil && !ivc.blockedNoted {
+			slot := bitpos + v
+			o := int(n.route[inBase+slot])
+			outPort := int(lay.portOf[o-outBase])
+			if n.credits[o] <= 0 {
+				if n.rec != nil && !n.ins[inBase+slot].blockedNoted {
+					ivc := &n.ins[inBase+slot]
 					ivc.blockedNoted = true
-					ev := trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
+					n.emit(ops, trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
 						Node: int32(node), Msg: ivc.curMsg.ID,
-						Port: int16(ivc.outPort), VC: int16(ivc.outVC)}
-					if ops == nil {
-						n.rec.Record(ev)
-					} else {
-						*ops = append(*ops, deferredOp{kind: opEvent, ev: ev})
-					}
+						Port: int16(outPort), VC: int16(lay.vcOf[o-outBase])})
 				}
 				continue
 			}
-			nomineesByOut[ivc.outPort] = append(nomineesByOut[ivc.outPort], nominee{p, v})
-			n.rrIn[rrBase+p] = (v + 1) % vcs
+			nomineesByOut[outPort] = append(nomineesByOut[outPort], int32(slot))
+			if v++; v == vcs {
+				v = 0
+			}
+			n.rrIn[rrBase+p] = uint8(v)
 			break
 		}
 	}
@@ -698,23 +743,22 @@ func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, 
 		if len(noms) == 0 {
 			continue
 		}
-		pick := noms[n.rrOut[rrOutBase+op]%len(noms)]
+		start := 0
+		if len(noms) > 1 {
+			start = n.rrOut[rrOutBase+op] % len(noms)
+		}
+		pick := noms[start]
 		if n.cfg.FavorMarked {
-			start := n.rrOut[rrOutBase+op] % len(noms)
 			for off := 0; off < len(noms); off++ {
 				cand := noms[(start+off)%len(noms)]
-				if m := n.ins[inBase+cand.port*lay.vcs+cand.vc].curMsg; m != nil && m.Hdr.Marked {
+				if m := n.ins[inBase+int(cand)].curMsg; m != nil && m.Hdr.Marked {
 					pick = cand
 					break
 				}
 			}
 		}
 		n.rrOut[rrOutBase+op]++
-		ivc := &n.ins[inBase+pick.port*lay.vcs+pick.vc]
-		moves = append(moves, send{
-			from: node, fromPort: pick.port, fromVC: pick.vc,
-			outPort: ivc.outPort, outVC: ivc.outVC,
-		})
+		moves = append(moves, send{node: int32(node), slot: pick, out: n.route[inBase+int(pick)]})
 	}
 	return moves
 }
@@ -725,72 +769,79 @@ func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, 
 func (n *Network) applyMoves(moves []send) bool {
 	lay := &n.lay
 	for _, mv := range moves {
-		node := mv.from
-		srcSlot := mv.fromPort*lay.vcs + mv.fromVC
-		ivc := &n.ins[node*lay.inStride+srcSlot]
-		f := ivc.q.popFront()
-		ivc.blockedNoted = false
-		n.creditReturnVC(node, mv.fromPort, mv.fromVC)
-		out := &n.outs[lay.outIdx(node, mv.outPort, mv.outVC)]
-		out.credits--
-		out.remaining--
-		n.sent[node*lay.ports+mv.outPort]++
-		if f.head {
-			f.msg.Hops++
+		node, slot, o := int(mv.node), int(mv.slot), int(mv.out)
+		i := node*lay.inStride + slot
+		f := n.popFront(i, slot >= lay.injBase)
+		if n.rec != nil {
+			n.ins[i].blockedNoted = false
+		}
+		n.creditReturn(node, slot, nil)
+		n.credits[o]--
+		n.outs[o].remaining--
+		local := o - node*lay.outStride
+		link := node*lay.ports + int(lay.portOf[local])
+		n.sent[link]++
+		if f&flitHead != 0 {
+			n.msgs[flitSlot(f)].Hops++
 		}
 		// Deliver into the downstream input buffer.
-		down := n.g.Neighbor(topology.NodeID(node), mv.outPort)
-		dp, ok := n.g.PortTo(down, topology.NodeID(node))
-		if !ok {
-			panic("network: inconsistent topology in applyMoves")
+		d := n.downIn[link]
+		if d < 0 {
+			panic("network: flit sent through an unconnected port")
 		}
-		downSlot := dp*lay.vcs + mv.outVC
-		n.ins[int(down)*lay.inStride+downSlot].q.pushBack(f)
-		n.noteInput(int(down), downSlot)
-		if f.tail {
+		di := int(d) + int(lay.vcOf[local])
+		n.pushBack(di, f)
+		dnode := di / lay.inStride
+		n.noteInput(dnode, di-dnode*lay.inStride)
+		if f&flitTail != 0 {
 			// The worm has fully left: release input route state and
 			// output ownership.
-			ivc.resetRoute()
-			out.ownerInPort, out.ownerInVC = -1, -1
-			out.ownerMsg = nil
-			out.remaining = 0
+			n.resetRoute(i)
+			n.releaseOutput(o)
 			if n.rec != nil {
 				n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCFreed,
-					Node: int32(node), Msg: f.msg.ID,
-					Port: int16(mv.outPort), VC: int16(mv.outVC)})
+					Node: int32(node), Msg: n.msgs[flitSlot(f)].ID,
+					Port: int16(lay.portOf[local]), VC: int16(lay.vcOf[local])})
 			}
 		}
-		n.noteInput(node, srcSlot)
+		n.noteInput(node, slot)
 	}
 	return len(moves) > 0
 }
 
-// creditReturnVC gives one credit back for a flit popped from input
-// (p,v) of node, after the configured return latency.
-func (n *Network) creditReturnVC(node, p, v int) {
-	if p == n.lay.ports {
+// creditReturn gives one credit back for a flit popped from input slot
+// of node, after the configured return latency. With ops == nil
+// (serial stepping) the credit and its event apply at once; a parallel
+// shard defers both into its op list, because the upstream router may
+// belong to another shard. Nothing reads credits between the drain
+// compute and the commit, so the deferral is behaviourally identical.
+func (n *Network) creditReturn(node, slot int, ops *[]deferredOp) {
+	if slot >= n.lay.injBase {
 		return // injection pseudo-port: no upstream link
 	}
-	up := n.g.Neighbor(topology.NodeID(node), p)
-	if up == topology.Invalid {
+	u := n.upOut[node*n.lay.ports+int(n.lay.portOf[slot])]
+	if u < 0 {
 		return
 	}
-	upPort, ok := n.g.PortTo(up, topology.NodeID(node))
-	if !ok {
-		return
-	}
+	pc := pendingCredit{due: n.now + int64(n.cfg.CreditDelay), out: u + n.lay.vcOf[slot]}
 	if n.rec != nil {
-		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KCreditSent,
-			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v),
+		o := int(pc.out)
+		up := o / n.lay.outStride
+		local := o - up*n.lay.outStride
+		n.emit(ops, trace.Event{Cycle: n.now, Kind: trace.KCreditSent,
+			Node: int32(up), Msg: -1, Port: int16(local / n.lay.vcs), VC: int16(local % n.lay.vcs),
 			Arg: int32(n.cfg.CreditDelay)})
 	}
-	if n.cfg.CreditDelay <= 0 {
-		n.outs[n.lay.outIdx(int(up), upPort, v)].credits++
-		return
+	switch {
+	case ops != nil && n.cfg.CreditDelay <= 0:
+		*ops = append(*ops, deferredOp{kind: opCredit, credit: pc})
+	case ops != nil:
+		*ops = append(*ops, deferredOp{kind: opQueueCredit, credit: pc})
+	case n.cfg.CreditDelay <= 0:
+		n.credits[pc.out]++
+	default:
+		n.creditQueue = append(n.creditQueue, pc)
 	}
-	n.creditQueue = append(n.creditQueue, pendingCredit{
-		due: n.now + int64(n.cfg.CreditDelay), node: up, port: upPort, vc: v,
-	})
 }
 
 // deliverCredits applies due credit returns.
@@ -801,7 +852,7 @@ func (n *Network) deliverCredits() {
 	kept := n.creditQueue[:0]
 	for _, c := range n.creditQueue {
 		if c.due <= n.now {
-			n.outs[n.lay.outIdx(int(c.node), c.port, c.vc)].credits++
+			n.credits[c.out]++
 		} else {
 			kept = append(kept, c)
 		}
@@ -813,70 +864,108 @@ func (n *Network) deliverCredits() {
 // (one flit per input VC per cycle) — exactly the drainSet membership,
 // gated live on decisionReady. It reports whether anything drained.
 func (n *Network) drainStage() bool {
-	progress := false
+	d := &n.drain
 	n.drainSet.forEach(0, n.lay.nodes, func(node, slot int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
-			return
-		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		if n.now < ivc.decisionReady {
-			return
-		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
-		f := ivc.q.popFront()
-		n.creditReturnVC(node, p, v)
-		progress = true
-		if ivc.eject {
-			n.stats.FlitsDelivered++
-			f.msg.flitsEjected++
-		}
-		if f.tail {
-			m := f.msg
-			m.DoneTime = n.now
-			if n.rec != nil {
-				kind := trace.KFlitDelivered
-				if !ivc.eject {
-					kind = trace.KFlitDropped
-				}
-				n.rec.Record(trace.Event{Cycle: n.now, Kind: kind,
-					Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
-					Arg: int32(n.now - m.InjectTime)})
+		n.drainOne(node, slot, d, nil)
+	})
+	return n.foldDrain(d)
+}
+
+// drainOne drains one flit of input slot of node into d. A serial step
+// (ops == nil) releases epochs and frees slots at once; a parallel
+// shard defers them, with credits and events, into its op list.
+func (n *Network) drainOne(node, slot int, d *drainDelta, ops *[]deferredOp) {
+	if n.isDead(node) {
+		return
+	}
+	i := node*n.lay.inStride + slot
+	if n.now < n.ins[i].decisionReady {
+		return
+	}
+	p, v := int(n.lay.portOf[slot]), int(n.lay.vcOf[slot])
+	f := n.popFront(i, slot >= n.lay.injBase)
+	n.creditReturn(node, slot, ops)
+	d.progress = true
+	eject := n.route[i] == routeEject
+	m := n.msgs[flitSlot(f)]
+	if eject {
+		d.flitsDelivered++
+		m.flitsEjected++
+	}
+	if f&flitTail != 0 {
+		m.DoneTime = n.now
+		if n.rec != nil {
+			kind := trace.KFlitDelivered
+			if !eject {
+				kind = trace.KFlitDropped
 			}
-			if ivc.eject {
-				m.State = StateDelivered
-				n.stats.Delivered++
-				n.stats.HopsSum += int64(m.Hops)
-				n.stats.StepsSum += int64(m.Steps)
-				n.stats.MisroutesSum += int64(m.Hdr.Misroutes)
-				if m.Hdr.Marked {
-					n.stats.MarkedCount++
-				}
-				lat := m.Latency()
-				n.stats.LatencySum += lat
-				n.stats.NetLatencySum += m.NetworkLatency()
-				if lat > n.stats.MaxLatency {
-					n.stats.MaxLatency = lat
-				}
-			} else {
-				m.State = StateDropped
-				m.DropNode = topology.NodeID(node)
-				m.DropInPort = p
-				if p == n.lay.ports {
-					m.DropInPort = routing.InjectionPort
-				}
-				m.DropInVC = v
-				n.stats.Dropped++
-				if m.Unreachable {
-					n.stats.Unreachable++
-				}
+			n.emit(ops, trace.Event{Cycle: n.now, Kind: kind,
+				Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
+				Arg: int32(n.now - m.InjectTime)})
+		}
+		if eject {
+			m.State = StateDelivered
+			d.delivered++
+			d.hopsSum += int64(m.Hops)
+			d.stepsSum += int64(m.Steps)
+			d.misroutesSum += int64(m.Hdr.Misroutes)
+			if m.Hdr.Marked {
+				d.markedCount++
 			}
-			n.inFlight--
+			lat := m.Latency()
+			d.latencySum += lat
+			d.netLatencySum += m.NetworkLatency()
+			if lat > d.maxLatency {
+				d.maxLatency = lat
+			}
+		} else {
+			m.State = StateDropped
+			m.DropNode = topology.NodeID(node)
+			m.DropInPort = p
+			if p == n.lay.ports {
+				m.DropInPort = routing.InjectionPort
+			}
+			m.DropInVC = v
+			d.dropped++
+			if m.Unreachable {
+				d.unreachable++
+			}
+		}
+		d.inFlight--
+		if ops == nil {
 			if n.epochs != nil {
 				n.epochs.ReleaseEpoch(m.Hdr.Epoch)
 			}
-			ivc.resetRoute()
+			n.freeSlot(m.slot)
+		} else {
+			if n.epochs != nil {
+				*ops = append(*ops, deferredOp{kind: opRelease, epoch: m.Hdr.Epoch})
+			}
+			*ops = append(*ops, deferredOp{kind: opFree, slot: m.slot})
 		}
-		n.noteInput(node, slot)
-	})
+		n.resetRoute(i)
+	}
+	n.noteInput(node, slot)
+}
+
+// foldDrain adds one drain delta to the statistics and message
+// accounting, resets it and reports whether anything drained.
+func (n *Network) foldDrain(d *drainDelta) bool {
+	n.stats.FlitsDelivered += d.flitsDelivered
+	n.stats.Delivered += d.delivered
+	n.stats.Dropped += d.dropped
+	n.stats.Unreachable += d.unreachable
+	n.stats.HopsSum += d.hopsSum
+	n.stats.StepsSum += d.stepsSum
+	n.stats.MisroutesSum += d.misroutesSum
+	n.stats.MarkedCount += d.markedCount
+	n.stats.LatencySum += d.latencySum
+	n.stats.NetLatencySum += d.netLatencySum
+	if d.maxLatency > n.stats.MaxLatency {
+		n.stats.MaxLatency = d.maxLatency
+	}
+	n.inFlight += d.inFlight
+	progress := d.progress
+	*d = drainDelta{}
 	return progress
 }

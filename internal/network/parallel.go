@@ -34,7 +34,7 @@ import (
 //     themselves — the only writes crossing router boundaries — are
 //     applied by the serial commit (applyMoves), in shard order;
 //   - drainStage pops local input VCs and defers credits, stats,
-//     epoch releases and events.
+//     epoch releases, slot frees and events.
 //
 // injectStage stays serial (it walks the injection work list and
 // touches global counters). The result is bit-identical Stats and
@@ -46,7 +46,7 @@ import (
 // iterates only its range of the per-stage work lists
 // (forEach(s.lo, s.hi)) instead of scanning every router. Membership
 // updates from inside a parallel phase write the mutated node's mask
-// words, its count cell and its summary-bit word; summary words are
+// words and its summary-bit word; summary words are
 // shared by 64 consecutive nodes, so initParallel aligns every shard
 // boundary to a multiple of 64 router IDs — no two workers ever write
 // the same word, and the phase commit order is unchanged.
@@ -79,6 +79,8 @@ const (
 	opCredit
 	// opQueueCredit appends one delayed credit to the global queue.
 	opQueueCredit
+	// opFree returns a finished message's slot to the free list.
+	opFree
 )
 
 // deferredOp is one entry of a shard's ordered op list. The struct is
@@ -92,10 +94,12 @@ type deferredOp struct {
 	rule   int
 	epoch  uint64
 	credit pendingCredit
+	slot   uint32
 }
 
-// drainDelta accumulates one shard's drain-stage contributions to the
-// global Stats and message accounting, folded in at commit.
+// drainDelta accumulates drain-stage contributions to the global Stats
+// and message accounting, folded in by foldDrain (at the end of the
+// serial stage, or per shard at the parallel commit).
 type drainDelta struct {
 	flitsDelivered int64
 	delivered      int64
@@ -132,7 +136,7 @@ type shard struct {
 
 	ops   []deferredOp
 	free  []routing.Candidate
-	noms  [][]nominee
+	noms  [][]int32
 	moves []send
 	delta drainDelta
 }
@@ -197,7 +201,7 @@ func (n *Network) initParallel() {
 		e.shards[i] = &shard{
 			lo:   lo,
 			hi:   hi,
-			noms: make([][]nominee, n.g.Ports()),
+			noms: make([][]int32, n.lay.ports),
 		}
 		e.start[i] = make(chan struct{}, 1)
 	}
@@ -373,21 +377,7 @@ func (n *Network) stepParallel() {
 	if n.commitDrain() {
 		progress = true
 	}
-	if progress {
-		n.lastProgress = n.now
-	} else if n.inFlight > 0 && n.now-n.lastProgress > n.cfg.WatchdogCycles {
-		if !n.stats.DeadlockSuspected {
-			n.stats.DeadlockSuspected = true
-			n.deadlockPostMortem()
-		}
-	}
-	if n.cfg.LivelockAgeCycles > 0 && n.now%n.cfg.LivelockCheckInterval == 0 {
-		n.checkLivelock()
-	}
-	if n.now&63 == 0 {
-		n.samplePeaks()
-	}
-	n.now++
+	n.endCycle(progress)
 }
 
 // commitOps replays every shard's deferred ops in shard order (=
@@ -411,9 +401,11 @@ func (n *Network) replayOps(s *shard) {
 		case opRelease:
 			n.epochs.ReleaseEpoch(op.epoch)
 		case opCredit:
-			n.outs[n.lay.outIdx(int(op.credit.node), op.credit.port, op.credit.vc)].credits++
+			n.credits[op.credit.out]++
 		case opQueueCredit:
 			n.creditQueue = append(n.creditQueue, op.credit)
+		case opFree:
+			n.freeSlot(op.slot)
 		}
 	}
 	s.ops = s.ops[:0]
@@ -427,25 +419,9 @@ func (n *Network) commitDrain() bool {
 	progress := false
 	for _, s := range n.par.shards {
 		n.replayOps(s)
-		d := &s.delta
-		n.stats.FlitsDelivered += d.flitsDelivered
-		n.stats.Delivered += d.delivered
-		n.stats.Dropped += d.dropped
-		n.stats.Unreachable += d.unreachable
-		n.stats.HopsSum += d.hopsSum
-		n.stats.StepsSum += d.stepsSum
-		n.stats.MisroutesSum += d.misroutesSum
-		n.stats.MarkedCount += d.markedCount
-		n.stats.LatencySum += d.latencySum
-		n.stats.NetLatencySum += d.netLatencySum
-		if d.maxLatency > n.stats.MaxLatency {
-			n.stats.MaxLatency = d.maxLatency
-		}
-		n.inFlight += d.inFlight
-		if d.progress {
+		if n.foldDrain(&s.delta) {
 			progress = true
 		}
-		*d = drainDelta{}
 		if s.flush != nil {
 			s.flush.FlushLookups()
 		}
@@ -456,9 +432,10 @@ func (n *Network) commitDrain() bool {
 // deliverCreditsShard applies every due credit whose target router
 // lies in the shard; the serial caller compacts the queue afterwards.
 func (n *Network) deliverCreditsShard(s *shard) {
+	lo, hi := int32(s.lo*n.lay.outStride), int32(s.hi*n.lay.outStride)
 	for _, c := range n.creditQueue {
-		if c.due <= n.now && int(c.node) >= s.lo && int(c.node) < s.hi {
-			n.outs[n.lay.outIdx(int(c.node), c.port, c.vc)].credits++
+		if c.due <= n.now && c.out >= lo && c.out < hi {
+			n.credits[c.out]++
 		}
 	}
 }
@@ -468,43 +445,7 @@ func (n *Network) deliverCreditsShard(s *shard) {
 // deferred.
 func (n *Network) routeStageShard(s *shard) {
 	n.routeSet.forEach(s.lo, s.hi, func(node, slot int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
-			return
-		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		m := ivc.q.front().msg
-		ivc.curMsg = m
-		if m.Hdr.Dst == topology.NodeID(node) {
-			ivc.routed = true
-			ivc.eject = true
-			ivc.decisionReady = n.now
-			n.noteInput(node, slot)
-			return
-		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
-		req := n.requestFor(node, p, v, m)
-		steps := s.alg.Steps(req)
-		m.Steps += steps
-		ivc.candidates = routing.RouteInto(s.alg, req, ivc.candidates[:0])
-		ivc.routed = true
-		ivc.unroutable = len(ivc.candidates) == 0
-		if ivc.unroutable {
-			if judge, ok := s.alg.(routing.UnreachableJudge); ok && judge.UnreachableVerdict(req) {
-				m.Unreachable = true
-			}
-		}
-		ivc.decisionReady = n.now + int64(steps*n.cfg.DecisionCyclesPerStep)
-		n.noteInput(node, slot)
-		if n.rec != nil {
-			kind := trace.KRouteComputed
-			if ivc.unroutable {
-				kind = trace.KUnroutable
-			}
-			s.ops = append(s.ops, deferredOp{kind: opEvent, ev: trace.Event{
-				Cycle: n.now, Kind: kind,
-				Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
-				Arg: int32(len(ivc.candidates))}})
-		}
+		n.routeOne(s.alg, node, slot, &s.ops)
 	})
 }
 
@@ -517,40 +458,7 @@ func (n *Network) allocStageShard(s *shard) {
 	// race-free and deterministic.
 	needCredit := routing.AllocNeedsCredit(n.alg)
 	n.vaSet.forEach(s.lo, s.hi, func(node, slot int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
-			return
-		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		if n.now < ivc.decisionReady {
-			return
-		}
-		outBase := node * n.lay.outStride
-		free := s.free[:0]
-		for _, c := range ivc.candidates {
-			out := &n.outs[outBase+c.Port*n.lay.vcs+c.VC]
-			if out.free() && (!needCredit || out.credits > 0) {
-				free = append(free, c)
-			}
-		}
-		s.free = free[:0] // selectors do not retain the slice
-		if len(free) == 0 {
-			return
-		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
-		m := ivc.frontMsg()
-		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
-		s.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
-		ivc.outPort, ivc.outVC = chosen.Port, chosen.VC
-		out := &n.outs[outBase+chosen.Port*n.lay.vcs+chosen.VC]
-		out.ownerInPort, out.ownerInVC = p, v
-		out.ownerMsg = m
-		out.remaining = m.Hdr.Length
-		n.noteInput(node, slot)
-		if n.rec != nil {
-			s.ops = append(s.ops, deferredOp{kind: opEvent, ev: trace.Event{
-				Cycle: n.now, Kind: trace.KVCAllocated,
-				Node: int32(node), Msg: m.ID, Port: int16(chosen.Port), VC: int16(chosen.VC)}})
-		}
+		s.free = n.allocOne(s.alg, node, slot, needCredit, s.free, &s.ops)
 	})
 }
 
@@ -561,7 +469,7 @@ func (n *Network) allocStageShard(s *shard) {
 func (n *Network) switchStageShard(s *shard) {
 	moves := s.moves[:0]
 	n.saSet.forEachNode(s.lo, s.hi, func(node int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
+		if n.isDead(node) {
 			return
 		}
 		moves = n.switchNode(node, s.noms, moves, &s.ops)
@@ -569,106 +477,11 @@ func (n *Network) switchStageShard(s *shard) {
 	s.moves = moves
 }
 
-// creditReturnShard is creditReturnVC with every effect — the
-// KCreditSent event and the credit itself — deferred into the shard's
-// op list: the upstream router may belong to another shard. Nothing
-// reads credits between the drain compute and the commit, so applying
-// them at commit is behaviourally identical to the serial immediate
-// return.
-func (n *Network) creditReturnShard(s *shard, node, p, v int) {
-	if p == n.lay.ports {
-		return // injection pseudo-port: no upstream link
-	}
-	up := n.g.Neighbor(topology.NodeID(node), p)
-	if up == topology.Invalid {
-		return
-	}
-	upPort, ok := n.g.PortTo(up, topology.NodeID(node))
-	if !ok {
-		return
-	}
-	if n.rec != nil {
-		s.ops = append(s.ops, deferredOp{kind: opEvent, ev: trace.Event{
-			Cycle: n.now, Kind: trace.KCreditSent,
-			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v),
-			Arg: int32(n.cfg.CreditDelay)}})
-	}
-	pc := pendingCredit{due: n.now + int64(n.cfg.CreditDelay), node: up, port: upPort, vc: v}
-	if n.cfg.CreditDelay <= 0 {
-		s.ops = append(s.ops, deferredOp{kind: opCredit, credit: pc})
-	} else {
-		s.ops = append(s.ops, deferredOp{kind: opQueueCredit, credit: pc})
-	}
-}
-
 // drainStageShard is drainStage over the shard's slice of the drain
 // work list: ejection and absorption are router-local; credits, stats,
-// epoch releases and events are deferred.
+// epoch releases, slot frees and events are deferred.
 func (n *Network) drainStageShard(s *shard) {
-	d := &s.delta
 	n.drainSet.forEach(s.lo, s.hi, func(node, slot int) {
-		if n.faults.NodeFaulty(topology.NodeID(node)) {
-			return
-		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		if n.now < ivc.decisionReady {
-			return
-		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
-		f := ivc.q.popFront()
-		n.creditReturnShard(s, node, p, v)
-		d.progress = true
-		if ivc.eject {
-			d.flitsDelivered++
-			f.msg.flitsEjected++
-		}
-		if f.tail {
-			m := f.msg
-			m.DoneTime = n.now
-			if n.rec != nil {
-				kind := trace.KFlitDelivered
-				if !ivc.eject {
-					kind = trace.KFlitDropped
-				}
-				s.ops = append(s.ops, deferredOp{kind: opEvent, ev: trace.Event{
-					Cycle: n.now, Kind: kind,
-					Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
-					Arg: int32(n.now - m.InjectTime)}})
-			}
-			if ivc.eject {
-				m.State = StateDelivered
-				d.delivered++
-				d.hopsSum += int64(m.Hops)
-				d.stepsSum += int64(m.Steps)
-				d.misroutesSum += int64(m.Hdr.Misroutes)
-				if m.Hdr.Marked {
-					d.markedCount++
-				}
-				lat := m.Latency()
-				d.latencySum += lat
-				d.netLatencySum += m.NetworkLatency()
-				if lat > d.maxLatency {
-					d.maxLatency = lat
-				}
-			} else {
-				m.State = StateDropped
-				m.DropNode = topology.NodeID(node)
-				m.DropInPort = p
-				if p == n.lay.ports {
-					m.DropInPort = routing.InjectionPort
-				}
-				m.DropInVC = v
-				d.dropped++
-				if m.Unreachable {
-					d.unreachable++
-				}
-			}
-			d.inFlight--
-			if n.epochs != nil {
-				s.ops = append(s.ops, deferredOp{kind: opRelease, epoch: m.Hdr.Epoch})
-			}
-			ivc.resetRoute()
-		}
-		n.noteInput(node, slot)
+		n.drainOne(node, slot, &s.delta, &s.ops)
 	})
 }

@@ -30,19 +30,21 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				if !ivc.routed || ivc.eject || ivc.unroutable || ivc.q.len() == 0 {
+				i := lay.inIdx(node, p, v)
+				r := n.route[i]
+				if r == routeNone || r <= routeEject || n.qLen[i] == 0 {
 					continue
 				}
+				ivc := &n.ins[i]
 				m := ivc.curMsg
 				why := ""
 				var waits []*Message
-				if ivc.outPort < 0 {
+				if r == routePending {
 					free := false
 					for _, c := range ivc.candidates {
-						out := &n.outs[lay.outIdx(node, c.Port, c.VC)]
-						if out.free() {
-							if !needCredit || out.credits > 0 {
+						o := lay.outIdx(node, c.Port, c.VC)
+						if n.outs[o].free() {
+							if !needCredit || n.credits[o] > 0 {
 								free = true
 								break
 							}
@@ -54,8 +56,8 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 							}
 							continue
 						}
-						if out.ownerMsg != nil && out.ownerMsg != m {
-							waits = append(waits, out.ownerMsg)
+						if owner := n.ownerMsg(o); owner != nil && owner != m {
+							waits = append(waits, owner)
 						}
 					}
 					if free {
@@ -63,12 +65,12 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 					}
 					why = "no-free-vc"
 				} else {
-					out := &n.outs[lay.outIdx(node, ivc.outPort, ivc.outVC)]
-					if out.credits > 0 {
+					if n.credits[r] > 0 {
 						continue
 					}
 					why = "no-credit"
-					front := n.downstreamFront(node, ivc.outPort, ivc.outVC)
+					op, ov := n.outPortVC(i)
+					front := n.downstreamFront(node, op, ov)
 					if front == m {
 						// Upstream segment of our own worm: pipeline
 						// backpressure behind the head, which has its
@@ -79,10 +81,11 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 						waits = append(waits, front)
 					}
 				}
+				op, ov := n.outPortVC(i)
 				bp := trace.BlockedPacket{
 					Msg: m.ID, Src: int64(m.Hdr.Src), Dst: int64(m.Hdr.Dst),
 					Node: int64(node), InPort: p, InVC: v,
-					OutPort: ivc.outPort, OutVC: ivc.outVC,
+					OutPort: op, OutVC: ov,
 					Age: n.now - m.StartTime, Why: why,
 				}
 				for _, w := range waits {
@@ -100,18 +103,20 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 		rs.Node = int64(node)
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				if ivc.q.len() == 0 && !ivc.routed {
+				i := lay.inIdx(node, p, v)
+				r := n.route[i]
+				if n.qLen[i] == 0 && r == routeNone {
 					continue
 				}
+				op, ov := n.outPortVC(i)
 				st := trace.VCState{
-					Port: p, VC: v, Flits: ivc.q.len(), Msg: -1,
-					Routed: ivc.routed, OutPort: ivc.outPort, OutVC: ivc.outVC,
-					Eject: ivc.eject, Unroutable: ivc.unroutable,
+					Port: p, VC: v, Flits: int(n.qLen[i]), Msg: -1,
+					Routed: r != routeNone, OutPort: op, OutVC: ov,
+					Eject: r == routeEject, Unroutable: r == routeDrop,
 				}
-				if ivc.curMsg != nil {
-					st.Msg = ivc.curMsg.ID
-				} else if fm := ivc.frontMsg(); fm != nil {
+				if cur := n.ins[i].curMsg; cur != nil {
+					st.Msg = cur.ID
+				} else if fm := n.frontMsg(i); fm != nil {
 					st.Msg = fm.ID
 				}
 				rs.Inputs = append(rs.Inputs, st)
@@ -119,16 +124,18 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 		}
 		for p := 0; p < lay.ports; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				out := &n.outs[lay.outIdx(node, p, v)]
-				if out.ownerMsg == nil && out.credits == n.cfg.BufDepth {
+				o := lay.outIdx(node, p, v)
+				out := &n.outs[o]
+				owner := n.ownerMsg(o)
+				if owner == nil && int(n.credits[o]) == n.cfg.BufDepth {
 					continue
 				}
 				st := trace.OutState{
 					Port: p, VC: v, Owner: -1,
-					Credits: out.credits, Remaining: out.remaining,
+					Credits: int(n.credits[o]), Remaining: int(out.remaining),
 				}
-				if out.ownerMsg != nil {
-					st.Owner = out.ownerMsg.ID
+				if owner != nil {
+					st.Owner = owner.ID
 				}
 				rs.Outputs = append(rs.Outputs, st)
 			}
@@ -169,10 +176,9 @@ func (n *Network) checkLivelock() {
 	for node := 0; node < n.lay.nodes; node++ {
 		base := node * n.lay.inStride
 		for slot := 0; slot < n.lay.inStride; slot++ {
-			ivc := &n.ins[base+slot]
-			m := ivc.curMsg
-			if m == nil && ivc.q.len() > 0 {
-				m = ivc.q.front().msg
+			m := n.ins[base+slot].curMsg
+			if m == nil {
+				m = n.frontMsg(base + slot)
 			}
 			if m == nil || m.StartTime < 0 {
 				continue

@@ -19,7 +19,7 @@ func (n *Network) LinkLoads() []LinkLoad {
 	acc := map[topology.Link]int64{}
 	for node := 0; node < n.lay.nodes; node++ {
 		for p := 0; p < n.lay.ports; p++ {
-			m := n.g.Neighbor(topology.NodeID(node), p)
+			m := n.downNode(node, p)
 			if m == topology.Invalid {
 				continue
 			}

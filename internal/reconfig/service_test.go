@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"encoding/json"
 	"math/rand"
 	"sync"
 	"testing"
@@ -179,3 +180,20 @@ var errUnroutable = &unroutableError{}
 type unroutableError struct{}
 
 func (*unroutableError) Error() string { return "fault-free decision judged unroutable" }
+
+// A decision slower than the latency histogram's top bin must not make
+// the metrics document unencodable: the overflow percentile reports
+// the observed maximum, never +Inf.
+func TestMetricsJSONWithOverflowSample(t *testing.T) {
+	svc, _, _ := newTestService(t, 1)
+	svc.latMu.Lock()
+	svc.lat.Add(1e6) // 1 s, far past the top bin
+	svc.latMu.Unlock()
+	m := svc.Metrics()
+	if _, err := json.Marshal(m); err != nil {
+		t.Fatalf("metrics with an overflow sample do not encode: %v", err)
+	}
+	if m.LatencyP99 != 1e6 {
+		t.Fatalf("p99 = %v, want the observed max 1e6", m.LatencyP99)
+	}
+}
